@@ -169,8 +169,8 @@ func PlainComparatorFactory(alice, bob [][]int64, spec *smc.Spec, workers int) (
 // SecureComparatorFactory returns a factory running the full three-party
 // Paillier protocol in-process with keys of the given size (the paper
 // uses 1024 bits). With workers > 1 it builds the sharded engine —
-// workers protocol lanes under one key, sharing the holders' randomizer
-// pools and Alice's share cache — otherwise the serial comparator.
+// workers protocol lanes under one key, sharing the holders' fixed-base
+// Encryptors and Alice's share cache — otherwise the serial comparator.
 func SecureComparatorFactory(keyBits int) ComparatorFactory {
 	return func(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
 		if workers > 1 {

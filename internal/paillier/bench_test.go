@@ -153,3 +153,40 @@ func BenchmarkPackUnpack(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNoiseFull1024 vs BenchmarkNoiseFixedBase1024 isolates one
+// noise unit at the paper's key size: the reference r^N against the
+// Encryptor's table walk h^x; BenchmarkEncryptorSetup1024 is the
+// per-key cost of drawing h and building its table.
+func BenchmarkNoiseFull1024(b *testing.B) {
+	pk := benchKey(b).Public()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pk.noiseUnit(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkNoiseFixedBase1024(b *testing.B) {
+	e, err := NewEncryptor(rand.Reader, benchKey(b).Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.noise(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncryptorSetup1024(b *testing.B) {
+	pk := benchKey(b).Public()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEncryptor(rand.Reader, pk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -145,9 +145,9 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 
 // noiseUnit computes r^N mod N² for a fresh random unit r: the
 // message-independent factor of an encryption, and exactly an encryption
-// of zero. This is the single modular exponentiation that dominates
-// Encrypt/Rerandomize cost; RandomizerPool precomputes these units in the
-// background.
+// of zero. Its full-width exponentiation dominates Encrypt/Rerandomize
+// cost; Encryptor replaces it with a short fixed-base exponent on the hot
+// path and keeps this one as the reference.
 func (pk *PublicKey) noiseUnit(random io.Reader) (*big.Int, error) {
 	r, err := pk.randomUnit(random)
 	if err != nil {

@@ -127,23 +127,23 @@ func forEachAttr(n int, f func(k int) error) error {
 	return nil
 }
 
-// aliceEngine is the first data holder's crypto state: the randomizer
-// pool and the per-record share cache. Enc(a²) and Enc(−2a) depend only
-// on the record, so they are computed once and rerandomized from the pool
-// before every send — repeated transmissions of one record stay
-// unlinkable on the wire (a rerandomized ciphertext carries a fresh
-// uniform unit, exactly the distribution of a fresh encryption).
+// aliceEngine is the first data holder's crypto state: the session
+// key's fixed-base Encryptor and the per-record share cache. Enc(a²) and
+// Enc(−2a) depend only on the record, so they are computed once and
+// rerandomized before every send — repeated transmissions of one record
+// stay unlinkable on the wire (a rerandomized ciphertext carries a fresh
+// noise unit, like a fresh encryption).
 //
 // One engine may be shared by several runAlice loops (the sharded
 // comparator runs W loops over the same records), so every method is safe
-// for concurrent use. close is the owner's duty, after all loops exited.
+// for concurrent use.
 type aliceEngine struct {
 	records [][]int64
 	active  []int
 
-	mu   sync.Mutex
-	pk   *paillier.PublicKey
-	pool *paillier.RandomizerPool
+	mu  sync.Mutex
+	pk  *paillier.PublicKey
+	enc *paillier.Encryptor
 
 	entries []shareEntry
 }
@@ -170,8 +170,11 @@ func (e *aliceEngine) init(pk *paillier.PublicKey) error {
 		}
 		return nil
 	}
-	e.pk = pk
-	e.pool = paillier.NewRandomizerPool(pk, 0, 0)
+	enc, err := paillier.NewEncryptor(rand.Reader, pk)
+	if err != nil {
+		return err
+	}
+	e.pk, e.enc = pk, enc
 	e.entries = make([]shareEntry, len(e.records))
 	return nil
 }
@@ -187,11 +190,11 @@ func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphert
 		rec := e.records[i]
 		ent.err = forEachAttr(len(e.active), func(k int) error {
 			a := rec[e.active[k]]
-			sq, err := e.pool.EncryptInt64(a * a)
+			sq, err := e.enc.EncryptInt64(rand.Reader, a*a)
 			if err != nil {
 				return fmt.Errorf("encrypting a²: %w", err)
 			}
-			lin, err := e.pool.EncryptInt64(-2 * a)
+			lin, err := e.enc.EncryptInt64(rand.Reader, -2*a)
 			if err != nil {
 				return fmt.Errorf("encrypting −2a: %w", err)
 			}
@@ -202,21 +205,13 @@ func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphert
 	return ent.sq, ent.lin, ent.err
 }
 
-func (e *aliceEngine) close() {
-	e.mu.Lock()
-	pool := e.pool
-	e.mu.Unlock()
-	if pool != nil {
-		pool.Close()
-	}
-}
-
-// bobEngine is the second data holder's crypto state: the randomizer pool
-// feeding Rerandomize. Shareable by parallel runBob loops.
+// bobEngine is the second data holder's crypto state: the session key's
+// fixed-base Encryptor feeding Rerandomize. Shareable by parallel runBob
+// loops.
 type bobEngine struct {
-	mu   sync.Mutex
-	pk   *paillier.PublicKey
-	pool *paillier.RandomizerPool
+	mu  sync.Mutex
+	pk  *paillier.PublicKey
+	enc *paillier.Encryptor
 }
 
 func (e *bobEngine) init(pk *paillier.PublicKey) error {
@@ -228,18 +223,12 @@ func (e *bobEngine) init(pk *paillier.PublicKey) error {
 		}
 		return nil
 	}
-	e.pk = pk
-	e.pool = paillier.NewRandomizerPool(pk, 0, 0)
-	return nil
-}
-
-func (e *bobEngine) close() {
-	e.mu.Lock()
-	pool := e.pool
-	e.mu.Unlock()
-	if pool != nil {
-		pool.Close()
+	enc, err := paillier.NewEncryptor(rand.Reader, pk)
+	if err != nil {
+		return err
 	}
+	e.pk, e.enc = pk, enc
+	return nil
 }
 
 // RunAlice is the first data holder's protocol loop: on every compare
@@ -247,9 +236,7 @@ func (e *bobEngine) close() {
 // requested record's cached encrypted shares to Bob. It returns when it
 // receives MsgShutdown or its connections close.
 func RunAlice(query, bob Conn, records [][]int64, spec *Spec) error {
-	eng := newAliceEngine(records, spec)
-	defer eng.close()
-	return runAlice(query, bob, records, spec, eng)
+	return runAlice(query, bob, records, spec, newAliceEngine(records, spec))
 }
 
 // runAlice serves one query link with a possibly shared engine.
@@ -286,11 +273,11 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 		}
 		out := &Message{Kind: MsgShares, Sq: make([]*big.Int, len(active)), Lin: make([]*big.Int, len(active))}
 		if err := forEachAttr(len(active), func(k int) error {
-			rsq, err := eng.pool.Rerandomize(sq[k])
+			rsq, err := eng.enc.Rerandomize(rand.Reader, sq[k])
 			if err != nil {
 				return err
 			}
-			rlin, err := eng.pool.Rerandomize(lin[k])
+			rlin, err := eng.enc.Rerandomize(rand.Reader, lin[k])
 			if err != nil {
 				return err
 			}
@@ -312,9 +299,7 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 // 0 ≤ δ < ρ, so the querying party learns only whether the squared
 // distance is within the threshold.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
-	eng := &bobEngine{}
-	defer eng.close()
-	return runBob(query, alice, records, spec, eng)
+	return runBob(query, alice, records, spec, &bobEngine{})
 }
 
 // runBob serves one query link with a possibly shared engine.
@@ -367,7 +352,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 			encLin := &paillier.Ciphertext{C: shares.Lin[k]}
 			dist := pk.Add(encSq, pk.MulConst(encLin, big.NewInt(b)))
 			dist = pk.AddConst(dist, big.NewInt(b*b))
-			res, err := bobFinalize(pk, eng.pool, dist, spec.Attrs[active[k]], spec.RevealDistance, spec.packActive())
+			res, err := bobFinalize(pk, eng.enc, dist, spec.Attrs[active[k]], spec.RevealDistance, spec.packActive())
 			if err != nil {
 				return err
 			}
@@ -386,7 +371,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		// so the querying party's view stays a shuffled multiset of
 		// blinded values (see PROTOCOL.md).
 		if spec.packActive() {
-			packed, err := packResults(pk, eng.pool, out.Res, plan)
+			packed, err := packResults(pk, eng.enc, out.Res, plan)
 			if err != nil {
 				return fmt.Errorf("smc: bob: packing results: %w", err)
 			}
@@ -399,13 +384,13 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 }
 
 // bobFinalize turns Enc(d²) into the ciphertext sent to the querying
-// party, per mode, drawing rerandomization noise from the pool. When the
+// party, per mode, drawing rerandomization noise from enc. When the
 // result will be slot-packed (packing), the per-attribute rerandomization
 // is skipped: these ciphertexts never cross the wire — only the packed
 // aggregate does, and packResults gives it a fresh noise unit of its own.
-func bobFinalize(pk *paillier.PublicKey, pool *paillier.RandomizerPool, dist *paillier.Ciphertext, attr AttrSpec, reveal, packing bool) (*paillier.Ciphertext, error) {
+func bobFinalize(pk *paillier.PublicKey, enc *paillier.Encryptor, dist *paillier.Ciphertext, attr AttrSpec, reveal, packing bool) (*paillier.Ciphertext, error) {
 	if reveal {
-		return pool.Rerandomize(dist)
+		return enc.Rerandomize(rand.Reader, dist)
 	}
 	t := attr.T // ModeEquality has T = 0: match iff d² < 1
 	rho, err := pk.RandomBlind(rand.Reader, blindBits)
@@ -422,13 +407,13 @@ func bobFinalize(pk *paillier.PublicKey, pool *paillier.RandomizerPool, dist *pa
 	if packing {
 		return blinded, nil
 	}
-	return pool.Rerandomize(blinded)
+	return enc.Rerandomize(rand.Reader, blinded)
 }
 
 // packResults slot-packs Bob's blinded output ciphertexts under the plan
 // and rerandomizes each packed ciphertext, so the wire carries fresh
-// uniform units rather than products of the inputs' randomness.
-func packResults(pk *paillier.PublicKey, pool *paillier.RandomizerPool, res []*big.Int, plan paillier.PackPlan) ([]*big.Int, error) {
+// noise units rather than products of the inputs' randomness.
+func packResults(pk *paillier.PublicKey, enc *paillier.Encryptor, res []*big.Int, plan paillier.PackPlan) ([]*big.Int, error) {
 	cts := make([]*paillier.Ciphertext, len(res))
 	for i, c := range res {
 		cts[i] = &paillier.Ciphertext{C: c}
@@ -439,7 +424,7 @@ func packResults(pk *paillier.PublicKey, pool *paillier.RandomizerPool, res []*b
 	}
 	out := make([]*big.Int, len(packed))
 	for i, ct := range packed {
-		r, err := pool.Rerandomize(ct)
+		r, err := enc.Rerandomize(rand.Reader, ct)
 		if err != nil {
 			return nil, err
 		}

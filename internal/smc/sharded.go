@@ -15,10 +15,10 @@ import (
 // the lanes so the five modular exponentiations of each comparison run on
 // all cores instead of one goroutine.
 //
-// The lanes share the holders' crypto engines — one randomizer pool and
-// one share cache per party — so Alice encrypts each record's shares once
-// no matter how many lanes request it, and every lane's hot path draws
-// pregenerated noise. Verdicts are positionally aligned with the input
+// The lanes share the holders' crypto engines — one fixed-base Encryptor
+// per party and Alice's share cache — so each party builds its noise
+// table once and Alice encrypts each record's shares once, no matter how
+// many lanes request them. Verdicts are positionally aligned with the input
 // pairs, Invocations and BytesTransferred aggregate across lanes, and the
 // per-pair messages are byte-for-byte the same protocol the serial
 // SecureComparator speaks: semantics are pinned to it by
@@ -88,8 +88,6 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 				conn.Close()
 			}
 			c.wg.Wait()
-			c.aliceEng.close()
-			c.bobEng.close()
 			return nil, err
 		}
 		c.sessions = append(c.sessions, session)
@@ -220,7 +218,7 @@ func (c *ShardedComparator) Decryptions() int64 {
 }
 
 // Close shuts every lane down, waits for the party loops, and releases
-// the shared engines and connections.
+// the connections.
 func (c *ShardedComparator) Close() error {
 	var err error
 	for _, s := range c.sessions {
@@ -229,8 +227,6 @@ func (c *ShardedComparator) Close() error {
 		}
 	}
 	c.wg.Wait()
-	c.aliceEng.close()
-	c.bobEng.close()
 	for _, conn := range c.conns {
 		conn.Close()
 	}

@@ -187,7 +187,7 @@ func TestShardedPartyDeathMidBatch(t *testing.T) {
 	}
 }
 
-// TestShardedSharedEngines hammers the shared randomizer pools and the
+// TestShardedSharedEngines hammers the shared Encryptors and the
 // Alice share cache: many lanes over few records, so every lane races to
 // initialize and then rerandomize the same cached shares. Run with -race.
 func TestShardedSharedEngines(t *testing.T) {
