@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPrune$$' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedSigned$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/paillier
+	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzDiceTier$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
 

@@ -63,9 +63,15 @@ func (f *dataFly) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, err
 			if levels[j] == 0 {
 				continue
 			}
+			// Count distinct formatted values, formatting each distinct
+			// Value once: equal Values format equally.
+			seen := make(map[vgh.Value]struct{})
 			distinct := make(map[string]struct{})
 			for i := range seqs {
-				distinct[seqs[i][j].String()] = struct{}{}
+				if _, ok := seen[seqs[i][j]]; !ok {
+					seen[seqs[i][j]] = struct{}{}
+					distinct[seqs[i][j].String()] = struct{}{}
+				}
 			}
 			if n := len(distinct); n > bestDistinct {
 				bestDistinct, bestAttr = n, j

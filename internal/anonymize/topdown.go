@@ -111,7 +111,7 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 	attr := d.Schema().Attr(qids[j])
 	cur := p.seq[j]
 	s := &split{attr: j, groups: make(map[string]*partition)}
-	add := func(key string, v vgh.Value, member int) {
+	add := func(key string, v vgh.Value, member int) *partition {
 		g, ok := s.groups[key]
 		if !ok {
 			child := p.seq.Clone()
@@ -121,6 +121,19 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 			s.keys = append(s.keys, key)
 		}
 		g.members = append(g.members, member)
+		return g
+	}
+	// Continuous members are grouped by interval first, so each key is
+	// formatted once per distinct interval rather than once per member.
+	// Equal intervals format equally, and distinct ones that format alike
+	// still meet in one group through the string key.
+	byIv := make(map[vgh.Interval]*partition)
+	addIv := func(iv vgh.Interval, member int) {
+		if g := byIv[iv]; g != nil {
+			g.members = append(g.members, member)
+			return
+		}
+		byIv[iv] = add(iv.String(), vgh.NumValue(iv), member)
 	}
 	switch attr.Kind {
 	case dataset.Categorical:
@@ -146,15 +159,11 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 		if level >= ih.Depth() {
 			// Specialize the leaf interval to the exact values present.
 			for _, m := range p.members {
-				v := d.Record(m).Cells[qids[j]].Num
-				pt := vgh.Point(v)
-				add(pt.String(), vgh.NumValue(pt), m)
+				addIv(vgh.Point(d.Record(m).Cells[qids[j]].Num), m)
 			}
 		} else {
 			for _, m := range p.members {
-				v := d.Record(m).Cells[qids[j]].Num
-				child := ih.At(v, level+1)
-				add(child.String(), vgh.NumValue(child), m)
+				addIv(ih.At(d.Record(m).Cells[qids[j]].Num, level+1), m)
 			}
 		}
 	}

@@ -37,6 +37,12 @@ type SMCPerfEngine struct {
 // encodings, plus the derived speedup ratios.
 type SMCPerfReport struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
+	// CPUModel, GoVersion and Commit say where the numbers were
+	// measured; Commit carries a "-dirty" suffix when the checkout had
+	// uncommitted changes.
+	CPUModel  string `json:"cpu_model"`
+	GoVersion string `json:"go_version"`
+	Commit    string `json:"commit"`
 	// Workers is the sharded engine's lane count.
 	Workers    int `json:"workers"`
 	KeyBits    int `json:"key_bits"`
@@ -119,6 +125,9 @@ func SMCPerf(keyBits, attrs, pairsN, workers int) (*SMCPerfReport, *Table, error
 
 	rep := &SMCPerfReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+		GoVersion:  runtime.Version(),
+		Commit:     gitCommit(),
 		Workers:    workers,
 		KeyBits:    keyBits,
 		Attributes: attrs,

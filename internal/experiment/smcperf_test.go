@@ -14,6 +14,9 @@ import (
 func TestSMCPerfReportGoldenSchema(t *testing.T) {
 	rep := &SMCPerfReport{
 		GOMAXPROCS:    8,
+		CPUModel:      "Example CPU",
+		GoVersion:     "go1.24.0",
+		Commit:        "0123abcd",
 		Workers:       4,
 		KeyBits:       1024,
 		Attributes:    4,
@@ -43,6 +46,9 @@ func TestSMCPerfReportGoldenSchema(t *testing.T) {
 	}
 	golden := `{
   "gomaxprocs": 8,
+  "cpu_model": "Example CPU",
+  "go_version": "go1.24.0",
+  "commit": "0123abcd",
   "workers": 4,
   "key_bits": 1024,
   "attributes": 4,
@@ -80,13 +86,14 @@ func TestSMCPerfReportGoldenSchema(t *testing.T) {
 	}
 
 	// Independent of formatting: exactly these key sets, every scalar a
-	// JSON number except the engine/packing labels.
+	// JSON number except the host strings and the engine/packing labels.
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
 	wantTop := []string{
-		"gomaxprocs", "workers", "key_bits", "attributes", "pairs",
+		"gomaxprocs", "cpu_model", "go_version", "commit",
+		"workers", "key_bits", "attributes", "pairs",
 		"keygen_seconds", "engines",
 		"speedup", "packed_speedup", "decryption_reduction",
 	}
@@ -99,7 +106,13 @@ func TestSMCPerfReportGoldenSchema(t *testing.T) {
 			t.Errorf("missing field %q", k)
 			continue
 		}
-		if k == "engines" {
+		switch k {
+		case "engines":
+			continue
+		case "cpu_model", "go_version", "commit":
+			if s, isStr := v.(string); !isStr || s == "" {
+				t.Errorf("field %q is %v, want a non-empty JSON string", k, v)
+			}
 			continue
 		}
 		if _, isNum := v.(float64); !isNum {

@@ -130,18 +130,19 @@ func BenchmarkPackUnpack(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cts := make([]*Ciphertext, 4)
-	for i := range cts {
-		cts[i] = benchCiphertext(b, sk, int64(i)-2)
+	e, err := NewEncryptor(rand.Reader, sk.Public())
+	if err != nil {
+		b.Fatal(err)
 	}
+	slots := benchSlots(b, sk, 4)
 	b.Run("pack4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sk.PackSigned(cts, plan); err != nil {
+			if _, err := e.PackBlinded(rand.Reader, slots, plan); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	packed, err := sk.PackSigned(cts, plan)
+	packed, err := e.PackBlinded(rand.Reader, slots, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,10 +155,86 @@ func BenchmarkPackUnpack(b *testing.B) {
 	})
 }
 
+// benchSlots encrypts n small distances with 40-bit blinds, as Bob's
+// packed results carry them.
+func benchSlots(b *testing.B, sk *PrivateKey, n int) []BlindedSlot {
+	b.Helper()
+	slots := make([]BlindedSlot, n)
+	for i := range slots {
+		rho, err := sk.RandomBlind(rand.Reader, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		off := new(big.Int).Mul(rho, big.NewInt(-17))
+		slots[i] = BlindedSlot{Ct: benchCiphertext(b, sk, int64(i*i)), Scale: rho.Uint64(), Offset: off}
+	}
+	return slots
+}
+
+// BenchmarkBlindPack1024 is Bob's work for one 5-attribute packed result
+// at the SMC slot width: the fused Montgomery chain against the reference
+// it replaced (MulConst(ρ), AddConst per value, PackSigned, Rerandomize).
+func BenchmarkBlindPack1024(b *testing.B) {
+	sk := benchKey(b)
+	plan, err := NewPackPlan(sk.N.BitLen(), 106)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEncryptor(rand.Reader, sk.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots := benchSlots(b, sk, 5)
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := e.PackBlinded(rand.Reader, slots, plan); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		cts := make([]*Ciphertext, len(slots))
+		for i := 0; i < b.N; i++ {
+			for k, s := range slots {
+				cts[k] = sk.AddConst(sk.MulConst(s.Ct, new(big.Int).SetUint64(s.Scale)), s.Offset)
+			}
+			packed, err := sk.PackSigned(cts, plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Rerandomize(rand.Reader, packed[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkMontMul1024 contrasts one multiplication mod N² at the paper's
+// key size: Montgomery form against Mul followed by QuoRem.
+func BenchmarkMontMul1024(b *testing.B) {
+	sk := benchKey(b)
+	x := benchCiphertext(b, sk, 3).C
+	y := benchCiphertext(b, sk, 5).C
+	b.Run("montgomery", func(b *testing.B) {
+		c := newMont(sk.N2)
+		var s montScratch
+		z := new(big.Int)
+		for i := 0; i < b.N; i++ {
+			c.mul(z, x, y, &s)
+		}
+	})
+	b.Run("quorem", func(b *testing.B) {
+		t, q, r := new(big.Int), new(big.Int), new(big.Int)
+		for i := 0; i < b.N; i++ {
+			q.QuoRem(t.Mul(x, y), sk.N2, r)
+		}
+	})
+}
+
 // BenchmarkNoiseFull1024 vs BenchmarkNoiseFixedBase1024 isolates one
 // noise unit at the paper's key size: the reference r^N against the
-// Encryptor's table walk h^x; BenchmarkEncryptorSetup1024 is the
-// per-key cost of drawing h and building its table.
+// Encryptor's comb walk h^x; BenchmarkEncryptorSetup1024 is the
+// per-key cost of drawing h and building its comb.
 func BenchmarkNoiseFull1024(b *testing.B) {
 	pk := benchKey(b).Public()
 	b.ResetTimer()
@@ -175,7 +252,7 @@ func BenchmarkNoiseFixedBase1024(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.noise(rand.Reader); err != nil {
+		if _, err := e.mulNoise(rand.Reader, one); err != nil {
 			b.Fatal(err)
 		}
 	}

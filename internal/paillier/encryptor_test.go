@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"math/bits"
 	mrand "math/rand"
 	"sync"
 	"testing"
@@ -20,13 +21,44 @@ func newTestEncryptor(t testing.TB, sk *PrivateKey) *Encryptor {
 	return e
 }
 
+var (
+	testEncOnce sync.Once
+	testEnc     *Encryptor
+)
+
+// testEncryptor returns one Encryptor under the shared test key.
+func testEncryptor(t testing.TB) *Encryptor {
+	t.Helper()
+	sk := key(t)
+	testEncOnce.Do(func() { testEnc = newTestEncryptor(t, sk) })
+	return testEnc
+}
+
 // expBytes encodes x < 2^noiseExpBits as the big-endian exponent pow reads.
 func expBytes(x *big.Int) []byte {
 	return x.FillBytes(make([]byte, noiseExpBits/8))
 }
 
-// TestFixedBaseExpMatchesExp pins the table walk to big.Int.Exp at the
-// edges of every window and on random exponents.
+// walk returns h^x mod N² from the comb walk, out of Montgomery form.
+func walk(e *Encryptor, x *big.Int) *big.Int {
+	var s montScratch
+	z := e.pow(new(big.Int), expBytes(x), &s)
+	return e.mont.mul(z, z, one, &s)
+}
+
+// plainNoise draws one noise unit h^x mod N².
+func plainNoise(t testing.TB, e *Encryptor) *big.Int {
+	t.Helper()
+	rn, err := e.mulNoise(rand.Reader, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rn.C
+}
+
+// TestFixedBaseExpMatchesExp pins the comb walk to big.Int.Exp for 0, 1,
+// all-ones, every single bit 2^i (so every row, block and column of the
+// comb alone), each block's all-ones pattern and random exponents.
 func TestFixedBaseExpMatchesExp(t *testing.T) {
 	sk := key(t)
 	e := newTestEncryptor(t, sk)
@@ -34,13 +66,13 @@ func TestFixedBaseExpMatchesExp(t *testing.T) {
 	xs := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
-		new(big.Int).Sub(pow2(noiseWindow), one),
-		pow2(noiseWindow),
 		new(big.Int).Sub(pow2(noiseExpBits), one),
 	}
-	for i := 1; i < noiseDigits; i++ {
-		b := pow2(i * noiseWindow)
-		xs = append(xs, b, new(big.Int).Sub(b, one), new(big.Int).Add(b, one))
+	for i := 0; i < noiseExpBits; i++ {
+		xs = append(xs, pow2(i))
+	}
+	for i := combBlockBits; i < noiseExpBits; i += combBlockBits {
+		xs = append(xs, new(big.Int).Sub(pow2(i), one))
 	}
 	rng := mrand.New(mrand.NewSource(1))
 	limit := pow2(noiseExpBits)
@@ -49,9 +81,28 @@ func TestFixedBaseExpMatchesExp(t *testing.T) {
 	}
 	for _, x := range xs {
 		want := new(big.Int).Exp(e.h, x, sk.N2)
-		if got := e.pow(expBytes(x)); got.Cmp(want) != 0 {
+		if got := walk(e, x); got.Cmp(want) != 0 {
 			t.Errorf("pow(%#x) = %v, want %v", x, got, want)
 		}
+	}
+}
+
+// TestNewEncryptorRejectsDegenerateModulus: N = 3 has no unit of order
+// above 2, so the base search would never end, and an even N has no
+// Montgomery inverse; these, a short odd N and zero must fail at once.
+func TestNewEncryptorRejectsDegenerateModulus(t *testing.T) {
+	short := new(big.Int).Sub(new(big.Int).Lsh(one, minKeyBits-1), one) // odd, 63 bits
+	even := new(big.Int).Lsh(key(t).N, 1)
+	for _, n := range []*big.Int{big.NewInt(3), short, even, new(big.Int)} {
+		if _, err := NewEncryptor(rand.Reader, &PublicKey{N: n, N2: new(big.Int).Mul(n, n)}); err == nil {
+			t.Errorf("NewEncryptor(N=%v): err = nil", n)
+		}
+		if _, err := NewPublicKey(n); err == nil {
+			t.Errorf("NewPublicKey(%v): err = nil", n)
+		}
+	}
+	if pk, err := NewPublicKey(key(t).N); err != nil || pk.N2.Cmp(key(t).N2) != 0 {
+		t.Errorf("NewPublicKey(generated N) = %v, %v", pk, err)
 	}
 }
 
@@ -135,11 +186,7 @@ func TestEncryptorDistinctUnits(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i := 0; i < 500; i++ {
-		rn, err := e.noise(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := rn.String()
+		k := plainNoise(t, e).String()
 		if seen[k] {
 			t.Fatalf("noise unit repeated after %d draws", i)
 		}
@@ -215,11 +262,7 @@ func TestEncryptorSkipsDegenerateBase(t *testing.T) {
 	}
 	minusOne := new(big.Int).Sub(sk.N2, one)
 	for i := 0; i < 10; i++ {
-		rn, err := e.noise(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rn.Cmp(one) == 0 || rn.Cmp(minusOne) == 0 {
+		if rn := plainNoise(t, e); rn.Cmp(one) == 0 || rn.Cmp(minusOne) == 0 {
 			t.Fatalf("noise unit %v is ±1", rn)
 		}
 	}
@@ -231,13 +274,8 @@ func TestEncryptorSkipsDegenerateBase(t *testing.T) {
 	}
 }
 
-var (
-	fuzzEncOnce sync.Once
-	fuzzEnc     *Encryptor
-)
-
 // FuzzFixedBaseExp reduces arbitrary bytes to a noiseExpBits-bit exponent
-// and checks the table walk against big.Int.Exp.
+// and checks the comb walk against big.Int.Exp.
 func FuzzFixedBaseExp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f})
@@ -245,13 +283,74 @@ func FuzzFixedBaseExp(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, noiseExpBits/8))
 	f.Add(bytes.Repeat([]byte{0xa5}, noiseExpBits/8+3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sk := key(t)
-		fuzzEncOnce.Do(func() { fuzzEnc = newTestEncryptor(t, sk) })
+		e := testEncryptor(t)
 		x := new(big.Int).SetBytes(data)
 		x.Mod(x, new(big.Int).Lsh(one, noiseExpBits))
-		want := new(big.Int).Exp(fuzzEnc.h, x, sk.N2)
-		if got := fuzzEnc.pow(expBytes(x)); got.Cmp(want) != 0 {
+		want := new(big.Int).Exp(e.h, x, e.pk.N2)
+		if got := walk(e, x); got.Cmp(want) != 0 {
 			t.Fatalf("pow(%#x) = %v, want %v", x, got, want)
+		}
+	})
+}
+
+var (
+	montKeyOnce sync.Once
+	montKeys    [2]*PrivateKey
+)
+
+// FuzzMontMul checks the Montgomery product against Mul+Mod under a
+// 64-bit and a 1024-bit key: mont.mul(a, b) must be the reduced
+// a·b·R⁻¹, i.e. times R it is a·b mod N². Each operand is either the
+// fuzzed bytes mod N² or, by its two edge bits, 0, 1 or N²−1.
+func FuzzMontMul(f *testing.F) {
+	for edges := uint8(0); edges < 16; edges++ {
+		f.Add([]byte{0xde, 0xad}, bytes.Repeat([]byte{0xff}, 300), edges, edges%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte, edges uint8, wide bool) {
+		montKeyOnce.Do(func() {
+			for i, bits := range []int{64, 1024} {
+				k, err := GenerateKey(rand.Reader, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				montKeys[i] = k
+			}
+		})
+		sk := montKeys[0]
+		if wide {
+			sk = montKeys[1]
+		}
+		m := sk.N2
+		operand := func(data []byte, edge uint8) *big.Int {
+			switch edge & 3 {
+			case 1:
+				return new(big.Int)
+			case 2:
+				return big.NewInt(1)
+			case 3:
+				return new(big.Int).Sub(m, one)
+			}
+			return new(big.Int).Mod(new(big.Int).SetBytes(data), m)
+		}
+		x, y := operand(a, edges), operand(b, edges>>2)
+		c := newMont(m)
+		var s montScratch
+		got := c.mul(new(big.Int), x, y, &s)
+		if got.Sign() < 0 || got.Cmp(m) >= 0 {
+			t.Fatalf("mul(%v, %v) = %v, outside [0, N²)", x, y, got)
+		}
+		r := new(big.Int).Lsh(one, uint(c.words*bits.UintSize))
+		lhs := new(big.Int).Mul(got, r)
+		lhs.Mod(lhs, m)
+		want := new(big.Int).Mul(x, y)
+		if want.Mod(want, m); lhs.Cmp(want) != 0 {
+			t.Fatalf("mul(%v, %v)·R = %v, want %v", x, y, lhs, want)
+		}
+		// In place, as the chains use it: z aliasing both operands squares.
+		sq := new(big.Int).Set(x)
+		c.mul(sq, sq, sq, &s)
+		if want := c.mul(new(big.Int), x, new(big.Int).Set(x), &s); sq.Cmp(want) != 0 {
+			t.Fatalf("in-place square of %v = %v, want %v", x, sq, want)
 		}
 	})
 }

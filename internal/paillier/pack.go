@@ -3,19 +3,22 @@ package paillier
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
+	"math/bits"
 )
 
 // Ciphertext slot packing: k signed plaintexts, each of magnitude below
 // 2^{w-1}, ride in one ciphertext as disjoint w-bit slots of the single
 // plaintext Σ (vᵢ + 2^{w-1})·2^{i·w}. Packing is pure homomorphics — the
-// packer holds only ciphertexts — built from the cheap operators: raising
-// a ciphertext to 2^w is w squarings (shifting its plaintext left by one
-// slot), the per-slot sign offset 2^{w-1} is one AddConst of a public
-// constant, and merging slots is ciphertext multiplication. The private
-// key side then performs ONE decryption per packed ciphertext instead of
-// one per value, which is what makes packing the SMC response hot-path
-// optimization: decryption is the querying party's dominant cost.
+// packer holds only ciphertexts: raising a ciphertext to 2^w is w
+// squarings (shifting its plaintext left by one slot), all per-slot
+// constants, the sign offsets 2^{w-1} among them, are one multiplication
+// by g^K, and merging slots is ciphertext multiplication. PackBlinded
+// runs all of it, with the per-slot blinding, as one Horner chain. The
+// private key side then performs ONE decryption per packed ciphertext
+// instead of one per value, which is what makes packing the SMC response
+// hot-path optimization: decryption is the querying party's dominant cost.
 //
 // The offset makes every slot value non-negative (vᵢ + 2^{w-1} ∈ [0, 2^w)
 // exactly when |vᵢ| < 2^{w-1}), so slots never borrow from their
@@ -28,7 +31,7 @@ import (
 
 // ErrPackedOverflow reports a packed plaintext with non-zero bits above
 // its occupied slots: some packed value exceeded the slot bound, or the
-// ciphertext was not produced by PackSigned under the same plan.
+// ciphertext was not produced by PackBlinded under the same plan.
 var ErrPackedOverflow = errors.New("paillier: packed plaintext overflows its slots")
 
 // PackPlan fixes the slot geometry both ends of a packed exchange must
@@ -62,43 +65,78 @@ func (p PackPlan) Ciphertexts(count int) int {
 	return (count + p.Slots - 1) / p.Slots
 }
 
-// offset returns the public constant Σ 2^{w-1}·2^{i·w} for i < m: the sum
-// of all m per-slot sign offsets, added homomorphically in one AddConst.
-func (p PackPlan) offset(m int) *big.Int {
-	o := new(big.Int)
-	for i := 0; i < m; i++ {
-		o.SetBit(o, i*p.SlotBits+p.SlotBits-1, 1)
-	}
-	return o
+// BlindedSlot is one value for Encryptor.Blind or PackBlinded: the signed
+// plaintext Scale·m + Offset, where m is the plaintext of Ct and Scale ≥ 1.
+type BlindedSlot struct {
+	Ct     *Ciphertext
+	Scale  uint64
+	Offset *big.Int
 }
 
-// PackSigned packs the signed plaintexts of cts into ⌈len(cts)/Slots⌉
-// ciphertexts under the plan. Slot i of output ciphertext c holds the
-// plaintext of cts[c·Slots+i]; every input plaintext must have magnitude
-// below 2^{SlotBits-1} (not checkable here — enforce before encrypting).
-// The output randomness is a product of the inputs' units; rerandomize
-// before sending anything adversarial-facing.
-func (pk *PublicKey) PackSigned(cts []*Ciphertext, plan PackPlan) ([]*Ciphertext, error) {
+// Blind returns a fresh encryption of s.Scale·m + s.Offset: one
+// Montgomery square-and-multiply by the scale, one constant and one noise
+// unit, in place of MulConst, AddConst and Rerandomize.
+func (e *Encryptor) Blind(random io.Reader, s BlindedSlot) (*Ciphertext, error) {
+	return e.chain(random, []BlindedSlot{s}, 0)
+}
+
+// PackBlinded packs the signed values Scaleᵢ·mᵢ + Offsetᵢ of slots into
+// ⌈len(slots)/Slots⌉ fresh ciphertexts under the plan: slot i of output c
+// holds slots[c·Slots+i]. Each output decrypts to the packing of
+// encryptions of the same values, Σ (vᵢ + 2^{w-1})·2^{i·w}, but costs one
+// Horner chain instead of a MulConst, an AddConst and a shift per value.
+// Every value's magnitude must be below 2^{SlotBits-1} (not checkable
+// here — enforce before encrypting) and every Scale in [1, 2^{SlotBits-1}).
+func (e *Encryptor) PackBlinded(random io.Reader, slots []BlindedSlot, plan PackPlan) ([]*Ciphertext, error) {
 	if plan.Slots < 1 || plan.SlotBits < 2 {
 		return nil, fmt.Errorf("paillier: invalid pack plan %+v", plan)
 	}
-	out := make([]*Ciphertext, 0, plan.Ciphertexts(len(cts)))
-	shift := new(big.Int).Lsh(one, uint(plan.SlotBits)) // exponent 2^w: one slot left
-	for lo := 0; lo < len(cts); lo += plan.Slots {
-		group := cts[lo:min(lo+plan.Slots, len(cts))]
-		// Horner from the highest slot down: each step shifts the
-		// accumulated slots up by w bits (SlotBits squarings) and merges
-		// the next value into the vacated low slot.
-		acc := new(big.Int).Set(group[len(group)-1].C)
-		for i := len(group) - 2; i >= 0; i-- {
-			acc.Exp(acc, shift, pk.N2)
-			acc.Mul(acc, group[i].C)
-			acc.Mod(acc, pk.N2)
+	out := make([]*Ciphertext, 0, plan.Ciphertexts(len(slots)))
+	for lo := 0; lo < len(slots); lo += plan.Slots {
+		ct, err := e.chain(random, slots[lo:min(lo+plan.Slots, len(slots))], plan.SlotBits)
+		if err != nil {
+			return nil, err
 		}
-		// All sign offsets land in one homomorphic constant addition.
-		out = append(out, pk.AddConst(&Ciphertext{C: acc}, plan.offset(len(group))))
+		out = append(out, ct)
 	}
 	return out, nil
+}
+
+// chain returns a fresh encryption of Σᵢ (Scaleᵢ·mᵢ + Offsetᵢ + 2^{w-1})·2^{i·w}
+// for w > 0, or of Scale₀·m₀ + Offset₀ for a single slot and w = 0. From
+// the highest slot down, acc ← acc^(2^w)·Ctᵢ^Scaleᵢ in Montgomery form, with
+// each scale's bits folded into the last squarings of the shift. All
+// constants land in one factor g^K = 1 + (K mod N)·N; multiplying acc̃ by
+// the plain g^K leaves the plain product, which takes one noise unit.
+func (e *Encryptor) chain(random io.Reader, slots []BlindedSlot, w int) (*Ciphertext, error) {
+	c := e.mont
+	s := montPool.Get().(*montScratch)
+	defer montPool.Put(s)
+	acc, d, k, half := new(big.Int), new(big.Int), new(big.Int), new(big.Int)
+	if w > 0 {
+		half.Lsh(one, uint(w-1)) // the sign offset
+	}
+	for i := len(slots) - 1; i >= 0; i-- {
+		sl := slots[i]
+		l := bits.Len64(sl.Scale)
+		if l == 0 || (w > 0 && l >= w) {
+			return nil, fmt.Errorf("paillier: scale %d is zero or does not fit a %d-bit slot", sl.Scale, w)
+		}
+		c.mul(d, e.reduce(sl.Ct.C), c.rr, s)
+		if i == len(slots)-1 {
+			acc.Set(d) // the scale's top bit
+		} else {
+			c.mul(acc, c.sqr(acc, w-l+1, s), d, s)
+		}
+		for b := l - 2; b >= 0; b-- {
+			if c.sqr(acc, 1, s); sl.Scale>>b&1 == 1 {
+				c.mul(acc, acc, d, s)
+			}
+		}
+		k.Lsh(k, uint(w)).Add(k, sl.Offset).Add(k, half)
+	}
+	k.Mod(k, e.pk.N).Mul(k, e.pk.N).Add(k, one)
+	return e.mulNoise(random, c.mul(acc, acc, k, s))
 }
 
 // UnpackSigned decrypts one packed ciphertext and extracts its first

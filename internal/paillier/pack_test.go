@@ -3,10 +3,49 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
 )
+
+// offset returns the public constant Σ 2^{w-1}·2^{i·w} for i < m: the sum
+// of all m per-slot sign offsets, added homomorphically in one AddConst.
+func (p PackPlan) offset(m int) *big.Int {
+	o := new(big.Int)
+	for i := 0; i < m; i++ {
+		o.SetBit(o, i*p.SlotBits+p.SlotBits-1, 1)
+	}
+	return o
+}
+
+// PackSigned is the reference packer PackBlinded is pinned to: it packs
+// the signed plaintexts of cts into ⌈len(cts)/Slots⌉ ciphertexts with the
+// public operators alone, one Exp(acc, 2^w) per shift. Slot i of output
+// ciphertext c holds the plaintext of cts[c·Slots+i]; the output
+// randomness is a product of the inputs' units.
+func (pk *PublicKey) PackSigned(cts []*Ciphertext, plan PackPlan) ([]*Ciphertext, error) {
+	if plan.Slots < 1 || plan.SlotBits < 2 {
+		return nil, fmt.Errorf("paillier: invalid pack plan %+v", plan)
+	}
+	out := make([]*Ciphertext, 0, plan.Ciphertexts(len(cts)))
+	shift := new(big.Int).Lsh(one, uint(plan.SlotBits)) // exponent 2^w: one slot left
+	for lo := 0; lo < len(cts); lo += plan.Slots {
+		group := cts[lo:min(lo+plan.Slots, len(cts))]
+		// Horner from the highest slot down: each step shifts the
+		// accumulated slots up by w bits (SlotBits squarings) and merges
+		// the next value into the vacated low slot.
+		acc := new(big.Int).Set(group[len(group)-1].C)
+		for i := len(group) - 2; i >= 0; i-- {
+			acc.Exp(acc, shift, pk.N2)
+			acc.Mul(acc, group[i].C)
+			acc.Mod(acc, pk.N2)
+		}
+		// All sign offsets land in one homomorphic constant addition.
+		out = append(out, pk.AddConst(&Ciphertext{C: acc}, plan.offset(len(group))))
+	}
+	return out, nil
+}
 
 func TestPackPlanGeometry(t *testing.T) {
 	plan, err := NewPackPlan(256, 100)
@@ -39,30 +78,155 @@ func encryptSigned(t *testing.T, sk *PrivateKey, v *big.Int) *Ciphertext {
 	return ct
 }
 
-// packUnpack round-trips values through PackSigned/UnpackSigned.
-func packUnpack(t *testing.T, sk *PrivateKey, plan PackPlan, values []*big.Int) []*big.Int {
+// unpackAll decrypts packed ciphertexts holding count values.
+func unpackAll(t *testing.T, sk *PrivateKey, plan PackPlan, packed []*Ciphertext, count int) []*big.Int {
 	t.Helper()
-	cts := make([]*Ciphertext, len(values))
-	for i, v := range values {
-		cts[i] = encryptSigned(t, sk, v)
-	}
-	packed, err := sk.PackSigned(cts, plan)
-	if err != nil {
-		t.Fatalf("PackSigned: %v", err)
-	}
-	if want := plan.Ciphertexts(len(values)); len(packed) != want {
+	if want := plan.Ciphertexts(count); len(packed) != want {
 		t.Fatalf("packed into %d ciphertexts, want %d", len(packed), want)
 	}
 	var out []*big.Int
 	for c, ct := range packed {
-		count := min(plan.Slots, len(values)-c*plan.Slots)
-		vals, err := sk.UnpackSigned(ct, plan, count)
+		vals, err := sk.UnpackSigned(ct, plan, min(plan.Slots, count-c*plan.Slots))
 		if err != nil {
 			t.Fatalf("UnpackSigned(ct %d): %v", c, err)
 		}
 		out = append(out, vals...)
 	}
 	return out
+}
+
+// packUnpack round-trips values through the reference PackSigned and
+// through PackBlinded at scale 1 and offset 0, failing unless both unpack
+// to the same slots.
+func packUnpack(t *testing.T, sk *PrivateKey, plan PackPlan, values []*big.Int) []*big.Int {
+	t.Helper()
+	cts := make([]*Ciphertext, len(values))
+	slots := make([]BlindedSlot, len(values))
+	for i, v := range values {
+		cts[i] = encryptSigned(t, sk, v)
+		slots[i] = BlindedSlot{Ct: cts[i], Scale: 1, Offset: new(big.Int)}
+	}
+	ref, err := sk.PackSigned(cts, plan)
+	if err != nil {
+		t.Fatalf("PackSigned: %v", err)
+	}
+	fused, err := testEncryptor(t).PackBlinded(rand.Reader, slots, plan)
+	if err != nil {
+		t.Fatalf("PackBlinded: %v", err)
+	}
+	out := unpackAll(t, sk, plan, ref, len(values))
+	for i, v := range unpackAll(t, sk, plan, fused, len(values)) {
+		if v.Cmp(out[i]) != 0 {
+			t.Fatalf("w=%d slot %d: PackBlinded %v, PackSigned %v", plan.SlotBits, i, v, out[i])
+		}
+	}
+	return out
+}
+
+// TestPackBlindedMatchesReference pins the fused chain to the pipeline it
+// replaced on Bob's side — AddConst(−(T+1)), MulConst(ρ), AddConst(δ) per
+// value, then PackSigned — over 1 to 10 values (more than the plan's
+// slots, so several packed ciphertexts), random ρ, δ, T and distances,
+// in slot order and shuffled: every packed plaintext must be bit-for-bit
+// the same.
+func TestPackBlindedMatchesReference(t *testing.T) {
+	sk := key(t)
+	e := testEncryptor(t)
+	plan, err := NewPackPlan(sk.N.BitLen(), 106) // the SMC slot at default bounds
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(3))
+	blind := new(big.Int).Lsh(one, 40)
+	for _, shuffle := range []bool{false, true} {
+		for n := 1; n <= 10; n++ {
+			ref := make([]*Ciphertext, n)
+			slots := make([]BlindedSlot, n)
+			for i := range slots {
+				d := rng.Int63n(1<<21) - 1<<20
+				thr := rng.Int63n(1 << 41)
+				rho := new(big.Int).Add(new(big.Int).Rand(rng, new(big.Int).Sub(blind, one)), one)
+				delta := new(big.Int).Rand(rng, rho)
+				ct, err := e.EncryptInt64(rand.Reader, d*d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := sk.AddConst(ct, big.NewInt(-(thr + 1)))
+				ref[i] = sk.AddConst(sk.MulConst(x, rho), delta)
+				off := new(big.Int).Mul(rho, big.NewInt(thr+1))
+				slots[i] = BlindedSlot{Ct: ct, Scale: rho.Uint64(), Offset: off.Sub(delta, off)}
+			}
+			if shuffle {
+				rng.Shuffle(n, func(i, j int) {
+					ref[i], ref[j] = ref[j], ref[i]
+					slots[i], slots[j] = slots[j], slots[i]
+				})
+			}
+			want, err := sk.PackSigned(ref, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.PackBlinded(rand.Reader, slots, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) != plan.Ciphertexts(n) {
+				t.Fatalf("n=%d: %d packed ciphertexts, reference %d", n, len(got), len(want))
+			}
+			for c := range want {
+				wm, err := sk.Decrypt(want[c])
+				if err != nil {
+					t.Fatal(err)
+				}
+				gm, err := sk.Decrypt(got[c])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gm.Cmp(wm) != 0 {
+					t.Errorf("shuffle=%v n=%d ciphertext %d: plaintext %#x, reference %#x", shuffle, n, c, gm, wm)
+				}
+			}
+		}
+	}
+}
+
+// TestPackBlindedRejectsWideScale: a scale as wide as the slot cannot be
+// folded into the shift's squarings and would overflow the slot anyway.
+func TestPackBlindedRejectsWideScale(t *testing.T) {
+	sk := key(t)
+	plan, err := NewPackPlan(sk.N.BitLen(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := []BlindedSlot{{Ct: encryptSigned(t, sk, big.NewInt(1)), Scale: 1 << 39, Offset: new(big.Int)}}
+	if _, err := testEncryptor(t).PackBlinded(rand.Reader, slots, plan); err == nil {
+		t.Error("40-bit scale in a 40-bit slot: err = nil")
+	}
+}
+
+// TestBlindMatchesReference pins the unpacked one-slot chain to
+// MulConst+AddConst, including negative offsets and a 63-bit scale; a
+// zero scale is refused.
+func TestBlindMatchesReference(t *testing.T) {
+	sk := key(t)
+	e := testEncryptor(t)
+	for _, tc := range []struct{ m, scale, off int64 }{{7, 3, -22}, {-5, 1 << 39, 12345}, {9, 1, -1}, {0, 1, 0}, {-1, 1<<63 - 1, 0}} {
+		ct := encryptSigned(t, sk, big.NewInt(tc.m))
+		got, err := e.Blind(rand.Reader, BlindedSlot{Ct: ct, Scale: uint64(tc.scale), Offset: big.NewInt(tc.off)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := sk.DecryptSigned(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.scale*tc.m + tc.off; v.Int64() != want {
+			t.Errorf("Blind(%d·%d + %d) = %v, want %d", tc.scale, tc.m, tc.off, v, want)
+		}
+	}
+	if _, err := e.Blind(rand.Reader, BlindedSlot{Ct: encryptSigned(t, sk, big.NewInt(1)), Scale: 0, Offset: new(big.Int)}); err == nil {
+		t.Error("Blind with scale 0: err = nil")
+	}
 }
 
 func TestPackSignedRoundTrip(t *testing.T) {

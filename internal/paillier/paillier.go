@@ -89,10 +89,25 @@ var ErrMessageRange = errors.New("paillier: message outside [0, N)")
 // shares a factor with N.
 var ErrCiphertextRange = errors.New("paillier: invalid ciphertext")
 
+// minKeyBits is the smallest modulus GenerateKey makes and NewPublicKey
+// accepts.
+const minKeyBits = 64
+
+// NewPublicKey wraps a modulus received from another party. It rejects
+// what no generated key can be: an even N, which has no Montgomery inverse
+// mod N², and one under minKeyBits bits — a tiny N such as 3 has no unit
+// of order above 2, so NewEncryptor would never find a usable base.
+func NewPublicKey(n *big.Int) (*PublicKey, error) {
+	if n == nil || n.Sign() <= 0 || n.Bit(0) == 0 || n.BitLen() < minKeyBits {
+		return nil, fmt.Errorf("paillier: modulus must be odd and at least %d bits", minKeyBits)
+	}
+	return &PublicKey{N: n, N2: new(big.Int).Mul(n, n)}, nil
+}
+
 // GenerateKey creates a key pair with an n of the given bit length. The
 // paper's experiments use 1024-bit keys; tests use shorter ones for speed.
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
-	if bits < 64 {
+	if bits < minKeyBits {
 		return nil, fmt.Errorf("paillier: key size %d too small", bits)
 	}
 	for {
@@ -134,13 +149,19 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 	}
 }
 
-// Encrypt encrypts m ∈ [0, N) with fresh randomness from random.
+// Encrypt encrypts m ∈ [0, N) with fresh randomness from random:
+// c = (1 + m·N)·r^N mod N², where 1 + m·N < N² needs no reduction.
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
+	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
+		return nil, ErrMessageRange
+	}
 	rn, err := pk.noiseUnit(random)
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptWithNoise(m, rn)
+	c := new(big.Int).Mul(m, pk.N)
+	c.Add(c, one).Mul(c, rn)
+	return &Ciphertext{C: c.Mod(c, pk.N2)}, nil
 }
 
 // noiseUnit computes r^N mod N² for a fresh random unit r: the
@@ -154,24 +175,6 @@ func (pk *PublicKey) noiseUnit(random io.Reader) (*big.Int, error) {
 		return nil, err
 	}
 	return r.Exp(r, pk.N, pk.N2), nil
-}
-
-// encryptWithNoise assembles c = (1 + m·n) · rn mod n² from a message and
-// a precomputed noise unit rn = r^n mod n² — two modular multiplications,
-// no exponentiation.
-func (pk *PublicKey) encryptWithNoise(m, rn *big.Int) (*Ciphertext, error) {
-	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
-		return nil, ErrMessageRange
-	}
-	// 1 + m·n < n² for every valid m, so the only reduction needed is the
-	// one after multiplying in the noise unit.
-	t := scratch.Get().(*big.Int)
-	t.Mul(m, pk.N)
-	t.Add(t, one)
-	t.Mul(t, rn)
-	c := new(big.Int).Mod(t, pk.N2)
-	scratch.Put(t)
-	return &Ciphertext{C: c}, nil
 }
 
 // EncryptInt64 encrypts a signed value using the half-range encoding.

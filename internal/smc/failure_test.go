@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+	"time"
 
 	"pprl/internal/paillier"
 )
@@ -171,5 +172,35 @@ func TestReceiveKeyRejectsBadModulus(t *testing.T) {
 	go a.Send(&Message{Kind: MsgPublicKey, N: big.NewInt(-5)})
 	if _, err := receiveKey(b); err == nil {
 		t.Error("non-positive modulus should be rejected")
+	}
+}
+
+// TestHoldersRejectDegenerateModulus: a query that sends N = 3 (every unit
+// of order ≤ 2, so no noise base exists) or an even N (no Montgomery
+// inverse) must make both holder loops fail promptly, not spin.
+func TestHoldersRejectDegenerateModulus(t *testing.T) {
+	sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*big.Int{big.NewInt(3), new(big.Int).Lsh(sk.N, 1)} {
+		spec := testSpec()
+		qa, _, aErrs := startAlice(t, [][]int64{{1, 2, 3}}, spec)
+		qb, _, bErrs := startBob(t, [][]int64{{1, 2, 3}}, spec)
+		for _, c := range []Conn{qa, qb} {
+			if err := c.Send(&Message{Kind: MsgPublicKey, N: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for role, errs := range map[string]chan error{"alice": aErrs, "bob": bErrs} {
+			select {
+			case err := <-errs:
+				if err == nil || !strings.Contains(err.Error(), "modulus") {
+					t.Errorf("N=%v: %s error = %v, want modulus complaint", n, role, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("N=%v: %s still running after 2 s", n, role)
+			}
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package smc
 
 import (
+	"crypto/rand"
 	"math/big"
 	"strings"
 	"testing"
+
+	"pprl/internal/paillier"
 )
 
 // packedSpec returns testSpec with packed results.
@@ -265,5 +268,74 @@ func TestPackedQueryRejectsWrongArity(t *testing.T) {
 	}
 	if _, err := q.Compare(0, 0); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Errorf("error = %v, want malformed-result complaint", err)
+	}
+}
+
+// TestPackedShuffleMovesSlots drives Bob's packed path directly and
+// decrypts the raw slots: with one matching and one failing attribute,
+// the matching (negative) slot must sit at both positions across
+// requests when ShuffleAttributes is on, and always at the first when it
+// is off — the fused chain packs in the shuffled order.
+func TestPackedShuffleMovesSlots(t *testing.T) {
+	for _, shuffled := range []bool{false, true} {
+		spec := packedSpec()
+		spec.ShuffleAttributes = shuffled
+		qa, aq := NewConnPair()
+		qb, bq := NewConnPair()
+		ab, ba := NewConnPair()
+		errs := make(chan error, 2)
+		go func() { errs <- RunAlice(aq, ab, [][]int64{{1, 10, 0}}, spec) }()
+		go func() { errs <- RunBob(bq, ba, [][]int64{{1, 30, 0}}, spec) }()
+		sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := spec.packPlan(testKeyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []Conn{qa, qb} {
+			if err := c.Send(&Message{Kind: MsgPublicKey, N: sk.N}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen := map[int]int{}
+		for r := 0; r < 40; r++ {
+			for _, c := range []Conn{qa, qb} {
+				if err := c.Send(&Message{Kind: MsgCompare, Record: 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := qb.Recv()
+			if err != nil || len(res.Res) != 1 {
+				t.Fatalf("result %v, %v", res, err)
+			}
+			vals, err := sk.UnpackSigned(&paillier.Ciphertext{C: res.Res[0]}, plan, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (vals[0].Sign() < 0) == (vals[1].Sign() < 0) {
+				t.Fatalf("slots %v: want exactly one negative", vals)
+			}
+			if vals[0].Sign() < 0 {
+				seen[0]++
+			} else {
+				seen[1]++
+			}
+		}
+		for _, c := range []Conn{qa, qb} {
+			c.Send(&Message{Kind: MsgShutdown})
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if shuffled && (seen[0] == 0 || seen[1] == 0) {
+			t.Errorf("shuffled: matching slot positions %v, want both", seen)
+		}
+		if !shuffled && seen[0] != 40 {
+			t.Errorf("unshuffled: matching slot positions %v, want always 0", seen)
+		}
 	}
 }

@@ -127,41 +127,18 @@ func forEachAttr(n int, f func(k int) error) error {
 	return nil
 }
 
-// aliceEngine is the first data holder's crypto state: the session
-// key's fixed-base Encryptor and the per-record share cache. Enc(a²) and
-// Enc(−2a) depend only on the record, so they are computed once and
-// rerandomized before every send — repeated transmissions of one record
-// stay unlinkable on the wire (a rerandomized ciphertext carries a fresh
-// noise unit, like a fresh encryption).
-//
-// One engine may be shared by several runAlice loops (the sharded
-// comparator runs W loops over the same records), so every method is safe
-// for concurrent use.
-type aliceEngine struct {
-	records [][]int64
-	active  []int
-
+// holderKey is a data holder's session-key state: the key and its
+// fixed-base Encryptor, installed by the first init. It is Bob's whole
+// crypto engine. One value may serve several party loops (the sharded
+// comparator runs W per holder), so later inits must present the same
+// modulus.
+type holderKey struct {
 	mu  sync.Mutex
 	pk  *paillier.PublicKey
 	enc *paillier.Encryptor
-
-	entries []shareEntry
 }
 
-// shareEntry caches one record's encrypted shares, computed once.
-type shareEntry struct {
-	once    sync.Once
-	sq, lin []*paillier.Ciphertext
-	err     error
-}
-
-func newAliceEngine(records [][]int64, spec *Spec) *aliceEngine {
-	return &aliceEngine{records: records, active: spec.activeAttrs()}
-}
-
-// init installs the session key on first call; later calls (parallel
-// loops of a sharded session) must present the same modulus.
-func (e *aliceEngine) init(pk *paillier.PublicKey) error {
+func (e *holderKey) init(pk *paillier.PublicKey) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.pk != nil {
@@ -175,8 +152,32 @@ func (e *aliceEngine) init(pk *paillier.PublicKey) error {
 		return err
 	}
 	e.pk, e.enc = pk, enc
-	e.entries = make([]shareEntry, len(e.records))
 	return nil
+}
+
+// aliceEngine is the first data holder's crypto state: the session key
+// and the per-record share cache. Enc(a²) and Enc(−2a) depend only on the
+// record, so they are computed once and rerandomized before every send —
+// repeated transmissions of one record stay unlinkable on the wire (a
+// rerandomized ciphertext carries a fresh noise unit, like a fresh
+// encryption). Like holderKey, one engine may be shared by several
+// runAlice loops, so every method is safe for concurrent use.
+type aliceEngine struct {
+	holderKey
+	records [][]int64
+	active  []int
+	entries []shareEntry
+}
+
+// shareEntry caches one record's encrypted shares, computed once.
+type shareEntry struct {
+	once    sync.Once
+	sq, lin []*paillier.Ciphertext
+	err     error
+}
+
+func newAliceEngine(records [][]int64, spec *Spec) *aliceEngine {
+	return &aliceEngine{records: records, active: spec.activeAttrs(), entries: make([]shareEntry, len(records))}
 }
 
 // shares returns record i's cached Enc(a²), Enc(−2a) per active
@@ -203,32 +204,6 @@ func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphert
 		})
 	})
 	return ent.sq, ent.lin, ent.err
-}
-
-// bobEngine is the second data holder's crypto state: the session key's
-// fixed-base Encryptor feeding Rerandomize. Shareable by parallel runBob
-// loops.
-type bobEngine struct {
-	mu  sync.Mutex
-	pk  *paillier.PublicKey
-	enc *paillier.Encryptor
-}
-
-func (e *bobEngine) init(pk *paillier.PublicKey) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pk != nil {
-		if e.pk.N.Cmp(pk.N) != 0 {
-			return fmt.Errorf("public key mismatch across parallel loops")
-		}
-		return nil
-	}
-	enc, err := paillier.NewEncryptor(rand.Reader, pk)
-	if err != nil {
-		return err
-	}
-	e.pk, e.enc = pk, enc
-	return nil
 }
 
 // RunAlice is the first data holder's protocol loop: on every compare
@@ -299,11 +274,11 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 // 0 ≤ δ < ρ, so the querying party learns only whether the squared
 // distance is within the threshold.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
-	return runBob(query, alice, records, spec, &bobEngine{})
+	return runBob(query, alice, records, spec, &holderKey{})
 }
 
 // runBob serves one query link with a possibly shared engine.
-func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) error {
+func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *holderKey) error {
 	pk, err := receiveKey(query)
 	if err != nil {
 		return fmt.Errorf("smc: bob: %w", err)
@@ -345,6 +320,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		}
 		rec := records[m.Record]
 		out := &Message{Kind: MsgResult, Res: make([]*big.Int, len(active))}
+		slots := make([]paillier.BlindedSlot, len(active))
 		if err := forEachAttr(len(active), func(k int) error {
 			b := rec[active[k]]
 			// Enc((a−b)²) = Enc(a²) +h (Enc(−2a) ×h b) +h Enc(b²).
@@ -352,17 +328,28 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 			encLin := &paillier.Ciphertext{C: shares.Lin[k]}
 			dist := pk.Add(encSq, pk.MulConst(encLin, big.NewInt(b)))
 			dist = pk.AddConst(dist, big.NewInt(b*b))
-			res, err := bobFinalize(pk, eng.enc, dist, spec.Attrs[active[k]], spec.RevealDistance, spec.packActive())
-			if err != nil {
-				return err
+			// Packed slots wait for PackBlinded; an unpacked one is blinded
+			// on its own.
+			var res *paillier.Ciphertext
+			var err error
+			if spec.RevealDistance {
+				res, err = eng.enc.Rerandomize(rand.Reader, dist)
+			} else if slots[k], err = blindSlot(pk, dist, spec.Attrs[active[k]].T); err == nil && !spec.packActive() {
+				res, err = eng.enc.Blind(rand.Reader, slots[k])
 			}
-			out.Res[k] = res.C
-			return nil
+			if res != nil {
+				out.Res[k] = res.C
+			}
+			return err
 		}); err != nil {
 			return fmt.Errorf("smc: bob: %w", err)
 		}
 		if spec.ShuffleAttributes && !spec.RevealDistance {
-			if err := shuffleCiphertexts(out.Res); err != nil {
+			err := shuffle(out.Res)
+			if spec.packActive() {
+				err = shuffle(slots)
+			}
+			if err != nil {
 				return fmt.Errorf("smc: bob: shuffling results: %w", err)
 			}
 		}
@@ -371,11 +358,14 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		// so the querying party's view stays a shuffled multiset of
 		// blinded values (see PROTOCOL.md).
 		if spec.packActive() {
-			packed, err := packResults(pk, eng.enc, out.Res, plan)
+			packed, err := eng.enc.PackBlinded(rand.Reader, slots, plan)
 			if err != nil {
 				return fmt.Errorf("smc: bob: packing results: %w", err)
 			}
-			out.Res = packed
+			out.Res = make([]*big.Int, len(packed))
+			for i, ct := range packed {
+				out.Res[i] = ct.C
+			}
 		}
 		if err := query.Send(out); err != nil {
 			return fmt.Errorf("smc: bob: sending result: %w", err)
@@ -383,59 +373,25 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 	}
 }
 
-// bobFinalize turns Enc(d²) into the ciphertext sent to the querying
-// party, per mode, drawing rerandomization noise from enc. When the
-// result will be slot-packed (packing), the per-attribute rerandomization
-// is skipped: these ciphertexts never cross the wire — only the packed
-// aggregate does, and packResults gives it a fresh noise unit of its own.
-func bobFinalize(pk *paillier.PublicKey, enc *paillier.Encryptor, dist *paillier.Ciphertext, attr AttrSpec, reveal, packing bool) (*paillier.Ciphertext, error) {
-	if reveal {
-		return enc.Rerandomize(rand.Reader, dist)
-	}
-	t := attr.T // ModeEquality has T = 0: match iff d² < 1
+// blindSlot draws the sign-only blinding of Enc(d²) against threshold T:
+// the slot ρ·d² + δ − ρ·(T+1) = ρ·(d² − T − 1) + δ with 0 ≤ δ < ρ < 2^40,
+// negative exactly when d² ≤ T. ModeEquality has T = 0: match iff d² < 1.
+func blindSlot(pk *paillier.PublicKey, dist *paillier.Ciphertext, t int64) (paillier.BlindedSlot, error) {
 	rho, err := pk.RandomBlind(rand.Reader, blindBits)
 	if err != nil {
-		return nil, err
+		return paillier.BlindedSlot{}, err
 	}
-	delta, err := randBelow(rho)
+	delta, err := rand.Int(rand.Reader, rho)
 	if err != nil {
-		return nil, err
+		return paillier.BlindedSlot{}, err
 	}
-	shifted := pk.AddConst(dist, big.NewInt(-(t + 1)))
-	blinded := pk.MulConst(shifted, rho)
-	blinded = pk.AddConst(blinded, delta)
-	if packing {
-		return blinded, nil
-	}
-	return enc.Rerandomize(rand.Reader, blinded)
+	off := new(big.Int).Mul(rho, big.NewInt(t+1))
+	return paillier.BlindedSlot{Ct: dist, Scale: rho.Uint64(), Offset: off.Sub(delta, off)}, nil
 }
 
-// packResults slot-packs Bob's blinded output ciphertexts under the plan
-// and rerandomizes each packed ciphertext, so the wire carries fresh
-// noise units rather than products of the inputs' randomness.
-func packResults(pk *paillier.PublicKey, enc *paillier.Encryptor, res []*big.Int, plan paillier.PackPlan) ([]*big.Int, error) {
-	cts := make([]*paillier.Ciphertext, len(res))
-	for i, c := range res {
-		cts[i] = &paillier.Ciphertext{C: c}
-	}
-	packed, err := pk.PackSigned(cts, plan)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*big.Int, len(packed))
-	for i, ct := range packed {
-		r, err := enc.Rerandomize(rand.Reader, ct)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r.C
-	}
-	return out, nil
-}
-
-// shuffleCiphertexts applies a cryptographically random Fisher-Yates
-// permutation in place.
-func shuffleCiphertexts(cs []*big.Int) error {
+// shuffle applies a cryptographically random Fisher-Yates permutation in
+// place.
+func shuffle[T any](cs []T) error {
 	for i := len(cs) - 1; i > 0; i-- {
 		j, err := rand.Int(rand.Reader, big.NewInt(int64(i+1)))
 		if err != nil {
@@ -445,13 +401,6 @@ func shuffleCiphertexts(cs []*big.Int) error {
 		cs[i], cs[k] = cs[k], cs[i]
 	}
 	return nil
-}
-
-func randBelow(limit *big.Int) (*big.Int, error) {
-	if limit.Sign() <= 0 {
-		return new(big.Int), nil
-	}
-	return rand.Int(rand.Reader, limit)
 }
 
 // QuerySession is the querying party's end of the protocol. It owns the
@@ -675,8 +624,8 @@ func receiveKey(query Conn) (*paillier.PublicKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("receiving public key: %w", err)
 	}
-	if m.Kind != MsgPublicKey || m.N == nil || m.N.Sign() <= 0 {
+	if m.Kind != MsgPublicKey {
 		return nil, fmt.Errorf("expected public key, got kind %d", m.Kind)
 	}
-	return &paillier.PublicKey{N: m.N, N2: new(big.Int).Mul(m.N, m.N)}, nil
+	return paillier.NewPublicKey(m.N)
 }

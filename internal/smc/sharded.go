@@ -30,7 +30,7 @@ type ShardedComparator struct {
 	// bytes sum to the MsgResult traffic.
 	bobSends []Conn
 	aliceEng *aliceEngine
-	bobEng   *bobEngine
+	bobEng   *holderKey
 	wg       sync.WaitGroup
 	errMu    sync.Mutex
 	partyErr error
@@ -55,7 +55,7 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 	}
 	c := &ShardedComparator{
 		aliceEng: newAliceEngine(alice, spec),
-		bobEng:   &bobEngine{},
+		bobEng:   &holderKey{},
 	}
 	// All lanes' connections are created up front so record() can walk
 	// c.conns without racing the construction loop's appends.
